@@ -611,12 +611,29 @@ class FlashSpaceEngine:
 
         A block whose erase pushed it past rated endurance is bad on the
         *device*; the management layer must mirror that or the next program
-        into it would fail."""
+        into it would fail.  Either way the block first leaves every
+        frontier slot: a group stripe keeps its slot after the block fills,
+        and an erased block reads as not full again, so a stale slot would
+        resume writing into a block that is back in the free pool."""
+        self._drop_from_frontiers(self.books[die_index].blocks[block])
         if self.device.dies[die_index].blocks[block].is_bad:
             self.books[die_index].blocks[block].reset_after_erase()
             self.books[die_index].mark_bad(block)
         else:
             self.books[die_index].return_erased_block(block)
+
+    def _drop_from_frontiers(self, info: BlockInfo) -> None:
+        """Detach ``info`` from every write-frontier slot (user, GC and
+        group stripes)."""
+        die_index = info.die
+        if self._user_frontier.get(die_index) is info:
+            self._user_frontier[die_index] = None
+        if self._gc_frontier.get(die_index) is info:
+            self._gc_frontier[die_index] = None
+        for stripe in self._group_frontiers.values():
+            for i, slot in enumerate(stripe):
+                if slot is info:
+                    stripe[i] = None
 
     def _relocate(self, src: PhysicalPageAddress, at: float) -> float:
         """Move one live page to its die's GC frontier (copyback preferred).
@@ -709,14 +726,7 @@ class FlashSpaceEngine:
         """
         die_index = frontier.die
         block = frontier.block
-        if self._user_frontier.get(die_index) is frontier:
-            self._user_frontier[die_index] = None
-        if self._gc_frontier.get(die_index) is frontier:
-            self._gc_frontier[die_index] = None
-        for stripe in self._group_frontiers.values():
-            for i, slot in enumerate(stripe):
-                if slot is frontier:
-                    stripe[i] = None
+        self._drop_from_frontiers(frontier)
         frontier.seal()
         moved = 0
         for page in frontier.valid_pages():
@@ -1037,5 +1047,15 @@ class FlashSpaceEngine:
             info = self.books[ppa.die].blocks[ppa.block]
             assert info.is_valid(ppa.page), f"mapped page not valid in bookkeeping: {ppa}"
         assert seen == set(self._rmap), "rmap contains stale entries"
+        slots = [*self._user_frontier.values(), *self._gc_frontier.values()]
+        for stripe in self._group_frontiers.values():
+            slots.extend(stripe)
+        held: set[tuple[int, int]] = set()
+        for info in slots:
+            if info is None:
+                continue
+            assert (info.die, info.block) not in held, f"block held by two frontiers: {info!r}"
+            held.add((info.die, info.block))
+            assert info.state is not BlockState.FREE, f"frontier holds a FREE block: {info!r}"
         for books in self.books.values():
             books.check_invariants()
