@@ -40,13 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))  # for conftest helpers
 from conftest import bench_mode
 
 from repro.flash import FlashDevice, FlashGeometry
-from repro.mapping import (
-    BlockState,
-    DieBookkeeping,
-    FlashSpaceEngine,
-    ManagementStats,
-    choose_victim_greedy,
-)
+from repro.mapping import BlockState, DieBookkeeping, FlashSpaceEngine, ManagementStats
+from repro.policies import select_victim_greedy
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
@@ -75,7 +70,7 @@ class SeedScanBookkeeping(DieBookkeeping):
         return bool(self._scan_candidates())
 
     def greedy_victim(self):
-        return choose_victim_greedy(self._scan_candidates())
+        return select_victim_greedy(self._scan_candidates())
 
     def iter_candidates(self):
         return iter(self._scan_candidates())

@@ -2,9 +2,9 @@
 
 The paper's complaint about FTL SSDs: "unpredictable performance caused by
 the background FTL processes (wear-levelling and garbage collection)".
-This example traces every flash command during a churn workload and
-renders per-die timelines plus a queueing post-mortem, making the
-interference visible instead of inferred.
+This example records every flash command on the device's event bus during
+a churn workload and renders per-die timelines plus a queueing post-mortem,
+making the interference visible instead of inferred.
 
 Run:  python examples/gc_interference.py
 """
@@ -14,7 +14,7 @@ import random
 
 from repro.bench.timeline import gc_interference_report, render_timeline
 from repro.core import NoFTLStore, RegionConfig
-from repro.flash import FlashGeometry, FlashTracer
+from repro.flash import FlashGeometry
 
 
 def main() -> None:
@@ -36,7 +36,7 @@ def main() -> None:
     for p in pages:  # fill to 75% so GC has to work
         t = region.write(p, b"seed", t)
 
-    tracer = FlashTracer.attach(store.device)
+    bus = store.device.attach_event_bus()
     rng = random.Random(4)
     reads = writes = 0
     window_start = t
@@ -53,16 +53,14 @@ def main() -> None:
             writes += 1
         t = max(t, done)
         heapq.heappush(clocks, (done, stream))
-    tracer.detach()
 
     print(f"{reads} reads + {writes} writes; "
           f"{region.stats.gc_erases} GC erases, {region.stats.gc_copybacks} copybacks\n")
     # zoom into the densest 30 ms of the run
     mid = window_start + (t - window_start) / 2
-    events = tracer.between(mid, mid + 30_000)
-    print(render_timeline(events, start_us=mid, end_us=mid + 30_000, width=76))
+    print(render_timeline(bus.events, start_us=mid, end_us=mid + 30_000, width=76))
     print()
-    print(gc_interference_report(tracer, top=5))
+    print(gc_interference_report(bus.events, top=5))
     print("\nE/C runs are GC reclaiming a die; note reads stacking up behind them -")
     print("the unpredictability the paper attributes to background flash management.")
 

@@ -19,8 +19,8 @@ Pieces:
   call graph (the RNG-flow rule's engine).
 * :mod:`repro.analysis.pragmas` — ``# lint: ok(<rule-id>) -- why`` parsing.
 * :mod:`repro.analysis.rules` — the repo-specific rule catalogue
-  (determinism incl. RNG flow, guard-pattern, counter-hygiene, packed
-  typestate, partition closure, typed errors, hygiene).
+  (determinism incl. RNG flow, guard-pattern, counter-hygiene,
+  partition closure, typed errors, hygiene).
 * :mod:`repro.analysis.reporting` — human, JSON (``repro.lint/v1``) and
   SARIF 2.1.0 reporters.
 * :mod:`repro.analysis.baseline` — checked-in suppression files

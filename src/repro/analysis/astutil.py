@@ -140,124 +140,6 @@ def is_none_guarded(
     return False
 
 
-def none_proven_targets(test: ast.expr, *, when_true: bool) -> set[str]:
-    """Dotted names proven to *be* None when ``test`` evaluates ``when_true``.
-
-    The dual of :func:`_none_check_targets` — used by the packed-path
-    typestate rule, whose legality condition is ``X is None``::
-
-        if X is None: ...                      # proven in body
-        if X is not None: ... else: ...        # proven in orelse
-        if X is None and Y is None: ...        # conjunction
-        if X is not None or Y is not None: ... # else-branch of the guard
-    """
-    proven: set[str] = set()
-    if isinstance(test, ast.Compare) and len(test.ops) == 1:
-        left = dotted_name(test.left)
-        comparator = test.comparators[0]
-        is_none = isinstance(comparator, ast.Constant) and comparator.value is None
-        if left is not None and is_none:
-            op = test.ops[0]
-            if isinstance(op, ast.Is) and when_true:
-                proven.add(left)
-            elif isinstance(op, ast.IsNot) and not when_true:
-                proven.add(left)
-    elif isinstance(test, ast.BoolOp):
-        if isinstance(test.op, ast.And) and when_true:
-            for operand in test.values:
-                proven |= none_proven_targets(operand, when_true=True)
-        elif isinstance(test.op, ast.Or) and not when_true:
-            # `if A or B: raise` — past the raise, both are False.
-            for operand in test.values:
-                proven |= none_proven_targets(operand, when_true=False)
-    elif isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        proven |= none_proven_targets(test.operand, when_true=not when_true)
-    return proven
-
-
-def is_proven_none(
-    node: ast.AST, target: str, parents: dict[ast.AST, ast.AST]
-) -> bool:
-    """Whether ``target`` is statically proven None at ``node``.
-
-    Mirrors :func:`is_none_guarded` with the polarity flipped, plus the
-    early-raise idiom the packed commands themselves use: an enclosing
-    ``if`` branch whose test proves ``target is None`` on the path to
-    ``node``, a conjunction ``target is None and <node>``, a conditional
-    expression arm, a preceding ``assert target is None``, or a
-    preceding dominating guard ::
-
-        if target is not None (or ...):
-            raise ...            # every path out terminates
-        <node>                   # target proven None here
-    """
-    child = node
-    for ancestor in ancestors(node, parents):
-        if isinstance(ancestor, (ast.If, ast.While)):
-            in_body = any(child is stmt or _contains(stmt, child) for stmt in ancestor.body)
-            if target in none_proven_targets(ancestor.test, when_true=in_body):
-                return True
-        elif isinstance(ancestor, ast.BoolOp) and isinstance(ancestor.op, ast.And):
-            for operand in ancestor.values:
-                if operand is child or _contains(operand, child):
-                    break
-                if target in none_proven_targets(operand, when_true=True):
-                    return True
-        elif isinstance(ancestor, ast.IfExp):
-            if (ancestor.body is child or _contains(ancestor.body, child)) and target in (
-                none_proven_targets(ancestor.test, when_true=True)
-            ):
-                return True
-            if (ancestor.orelse is child or _contains(ancestor.orelse, child)) and target in (
-                none_proven_targets(ancestor.test, when_true=False)
-            ):
-                return True
-        # any statement list on the path: scan the statements that dominate
-        # `child` for asserts and terminating early-raise guards
-        for body in _statement_lists(ancestor):
-            if any(stmt is child or _contains(stmt, child) for stmt in body):
-                if _none_proven_by_preceding(body, child, target):
-                    return True
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
-            break
-        child = ancestor
-    return False
-
-
-def _statement_lists(node: ast.AST) -> list[list[ast.stmt]]:
-    lists: list[list[ast.stmt]] = []
-    for attr in ("body", "orelse", "finalbody"):
-        value = getattr(node, attr, None)
-        if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
-            lists.append(value)
-    return lists
-
-
-def _terminates(body: list[ast.stmt]) -> bool:
-    """Whether control never falls off the end of ``body``."""
-    return bool(body) and isinstance(
-        body[-1], (ast.Raise, ast.Return, ast.Continue, ast.Break)
-    )
-
-
-def _none_proven_by_preceding(body: list[ast.stmt], stop: ast.AST, target: str) -> bool:
-    for stmt in body:
-        if stmt is stop or _contains(stmt, stop):
-            return False
-        if isinstance(stmt, ast.Assert) and target in none_proven_targets(
-            stmt.test, when_true=True
-        ):
-            return True
-        if (
-            isinstance(stmt, ast.If)
-            and not stmt.orelse
-            and _terminates(stmt.body)
-            and target in none_proven_targets(stmt.test, when_true=False)
-        ):
-            return True
-    return False
-
-
 def _asserted_before(body: list[ast.stmt], stop: ast.AST, target: str) -> bool:
     for stmt in body:
         if stmt is stop or _contains(stmt, stop):

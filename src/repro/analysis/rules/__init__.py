@@ -17,7 +17,6 @@ from repro.analysis.rules.determinism import (
 )
 from repro.analysis.rules.guards import OptionalHookGuardRule
 from repro.analysis.rules.hygiene import UnusedImportRule
-from repro.analysis.rules.packed import PackedTypestateRule
 from repro.analysis.rules.raises import TypedRaiseRule
 from repro.analysis.rules.rngflow import RngFlowRule
 from repro.analysis.rules.sharding import PartitionClosureRule
@@ -34,7 +33,6 @@ def build_rules() -> list[Rule]:
         CounterIntDriftRule(),
         CounterDocCoverageRule(),
         UnusedImportRule(),
-        PackedTypestateRule(),
         PartitionClosureRule(),
         TypedRaiseRule(),
     ]
@@ -44,7 +42,6 @@ __all__ = [
     "CounterDocCoverageRule",
     "CounterIntDriftRule",
     "OptionalHookGuardRule",
-    "PackedTypestateRule",
     "PartitionClosureRule",
     "RngFlowRule",
     "SetIterationRule",

@@ -20,7 +20,7 @@ The rule recognizes both shapes used across the codebase::
 and flags unguarded method calls through either.  Monitored receivers:
 
 * ``*.events.emit(...)`` — only ``emit`` (ring-buffer internals like
-  ``self.events.append`` inside EventBus/FlashTracer are plain deques,
+  ``self.events.append`` inside EventBus are plain deques,
   never optional);
 * any method call on ``*.faults`` / ``*.injector`` attribute chains, and
   on locals aliased from them.

@@ -1,8 +1,11 @@
-"""ASCII timelines from flash command traces.
+"""ASCII timelines from the event bus's flash commands.
 
-Turns a :class:`~repro.flash.trace.FlashTracer` capture into a per-die
-Gantt chart — the fastest way to *see* GC interference, placement
-imbalance, or striping patterns:
+Turns the ``layer="flash"`` events of an :class:`~repro.obs.events.EventBus`
+(``device.attach_event_bus()``) into a per-die Gantt chart — the fastest
+way to *see* GC interference, placement imbalance, or striping patterns.
+Every native command emits one such event, the engine's packed commands
+included; its ``ts_us`` is the issue time and its ``start_us``/``end_us``
+attributes bound the execution:
 
 ::
 
@@ -16,8 +19,11 @@ occupied most of it (R read, W program, C copyback, E erase, m metadata,
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from typing import cast
+
 from repro.bench.errors import BenchConfigError
-from repro.flash.trace import FlashTracer, TraceEvent
+from repro.obs.events import ObsEvent
 
 #: glyph per op, by share of the time slice it occupies
 _GLYPHS = {
@@ -29,8 +35,23 @@ _GLYPHS = {
 }
 
 
+def _span(event: ObsEvent) -> tuple[int, float, float]:
+    """A flash command's die and execution interval."""
+    attrs = event.attrs
+    return (
+        cast(int, attrs["die"]),
+        cast(float, attrs["start_us"]),
+        cast(float, attrs["end_us"]),
+    )
+
+
+def _queue_us(event: ObsEvent) -> float:
+    """Time a command waited between issue and the start of execution."""
+    return max(0.0, _span(event)[1] - event.ts_us)
+
+
 def render_timeline(
-    events: list[TraceEvent],
+    events: Iterable[ObsEvent],
     start_us: float | None = None,
     end_us: float | None = None,
     width: int = 80,
@@ -39,38 +60,40 @@ def render_timeline(
     """Render per-die occupancy of ``[start_us, end_us]`` as ASCII rows.
 
     Args:
-        events: trace events (e.g. ``tracer.events``).
+        events: bus events (e.g. ``bus.events``); layers other than
+            ``flash`` are ignored.
         start_us / end_us: window; defaults to the events' extent.
         width: characters per row (one per time slice).
         dies: which dies to show; defaults to every die present.
     """
-    if not events:
+    spans = [(e.kind, *_span(e)) for e in events if e.layer == "flash"]
+    if not spans:
         return "(no events)"
     if width < 2:
         raise BenchConfigError("width must be >= 2")
-    lo = min(e.start_us for e in events) if start_us is None else start_us
-    hi = max(e.end_us for e in events) if end_us is None else end_us
+    lo = min(s[2] for s in spans) if start_us is None else start_us
+    hi = max(s[3] for s in spans) if end_us is None else end_us
     if hi <= lo:
         raise BenchConfigError("empty time window")
     slice_us = (hi - lo) / width
-    die_list = sorted({e.die for e in events}) if dies is None else dies
+    die_list = sorted({s[1] for s in spans}) if dies is None else dies
 
     # per die, per slice: accumulate occupancy per op
     rows: dict[int, list[dict[str, float]]] = {
         d: [dict() for _ in range(width)] for d in die_list
     }
-    for event in events:
-        if event.die not in rows or event.end_us <= lo or event.start_us >= hi:
+    for op, die, start, end in spans:
+        if die not in rows or end <= lo or start >= hi:
             continue
-        first = max(0, int((event.start_us - lo) / slice_us))
-        last = min(width - 1, int((event.end_us - lo) / slice_us))
+        first = max(0, int((start - lo) / slice_us))
+        last = min(width - 1, int((end - lo) / slice_us))
         for column in range(first, last + 1):
             cell_lo = lo + column * slice_us
             cell_hi = cell_lo + slice_us
-            overlap = min(event.end_us, cell_hi) - max(event.start_us, cell_lo)
+            overlap = min(end, cell_hi) - max(start, cell_lo)
             if overlap > 0:
-                cell = rows[event.die][column]
-                cell[event.op] = cell.get(event.op, 0.0) + overlap
+                cell = rows[die][column]
+                cell[op] = cell.get(op, 0.0) + overlap
 
     lines = [
         f"timeline {lo:,.0f}us .. {hi:,.0f}us  ({slice_us:,.0f}us per column)"
@@ -89,33 +112,36 @@ def render_timeline(
     return "\n".join(lines)
 
 
-def gc_interference_report(tracer: FlashTracer, top: int = 5) -> str:
+def gc_interference_report(events: Iterable[ObsEvent], top: int = 5) -> str:
     """Summarise where foreground I/O queued behind background work.
 
-    Lists the ``top`` worst queueing delays with what occupied the die in
-    the preceding window — the question every GC latency investigation
-    starts with.
+    Lists the ``top`` flash commands with the longest queueing delay
+    (issue to start of execution) with what occupied the die while they
+    waited — the question every GC latency investigation starts with.
     """
-    slow = tracer.slowest(top)
+    commands = [e for e in events if e.layer == "flash"]
+    slow = sorted(commands, key=_queue_us, reverse=True)[:top]
     if not slow:
         return "(no events)"
     lines = ["worst queueing delays:"]
     for event in slow:
-        window = [
-            e
-            for e in tracer.on_die(event.die)
-            if e.end_us > event.issue_us and e.start_us < event.start_us and e is not event
-        ]
+        die, start, __ = _span(event)
+        issue = event.ts_us
         blockers: dict[str, float] = {}
-        for b in window:
-            overlap = min(b.end_us, event.start_us) - max(b.start_us, event.issue_us)
+        for other in commands:
+            if other is event:
+                continue
+            o_die, o_start, o_end = _span(other)
+            if o_die != die:
+                continue
+            overlap = min(o_end, start) - max(o_start, issue)
             if overlap > 0:
-                blockers[b.op] = blockers.get(b.op, 0.0) + overlap
+                blockers[other.kind] = blockers.get(other.kind, 0.0) + overlap
         blocked_by = (
             ", ".join(f"{op} {us:,.0f}us" for op, us in sorted(blockers.items(), key=lambda kv: -kv[1]))
             or "nothing traced"
         )
         lines.append(
-            f"  {event.op} d{event.die} waited {event.queue_us:,.0f}us behind: {blocked_by}"
+            f"  {event.kind} d{die} waited {_queue_us(event):,.0f}us behind: {blocked_by}"
         )
     return "\n".join(lines)

@@ -18,7 +18,6 @@ from repro.flash.errors import (
     DataError,
     EraseError,
     FlashError,
-    PackedPathError,
     ProgramError,
     ReadError,
     WearOutError,
@@ -26,7 +25,6 @@ from repro.flash.errors import (
 from repro.flash.geometry import KIB, MIB, FlashGeometry, paper_geometry, small_geometry
 from repro.flash.simclock import ResourceTimeline, SimClock
 from repro.flash.stats import FlashStats, LatencyAccumulator
-from repro.flash.trace import FlashTracer, TraceEvent
 from repro.flash.timing import DEFAULT_TIMING, TimingModel, instant_timing
 
 __all__ = [
@@ -42,11 +40,9 @@ __all__ = [
     "FlashError",
     "FlashGeometry",
     "FlashStats",
-    "FlashTracer",
     "KIB",
     "LatencyAccumulator",
     "MIB",
-    "PackedPathError",
     "PageMetadata",
     "PhysicalBlockAddress",
     "PhysicalPageAddress",
@@ -55,7 +51,6 @@ __all__ = [
     "ResourceTimeline",
     "SimClock",
     "TimingModel",
-    "TraceEvent",
     "WearOutError",
     "instant_timing",
     "paper_geometry",

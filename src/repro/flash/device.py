@@ -23,12 +23,7 @@ from dataclasses import dataclass
 from repro.flash.address import PhysicalBlockAddress, PhysicalPageAddress
 from repro.flash.block import Block, PageMetadata
 from repro.flash.die import Die
-from repro.flash.errors import (
-    ConfigError,
-    CopybackError,
-    DataError,
-    PackedPathError,
-)
+from repro.flash.errors import ConfigError, CopybackError, DataError
 from typing import TYPE_CHECKING
 
 from repro.flash.geometry import FlashGeometry
@@ -289,16 +284,15 @@ class FlashDevice:
         return CommandResult(start_us=start, end_us=end)
 
     # ------------------------------------------------------------------
-    # Packed hot-path variants
+    # Packed variants
     # ------------------------------------------------------------------
     # The mapping engine issues millions of page operations per experiment
     # using addresses it constructed itself (valid by construction).  These
     # variants take raw integer coordinates, skip address re-validation and
     # the CommandResult allocation, and return only the completion time.
-    # Callers MUST use the full commands above whenever a fault injector or
-    # an event bus is attached — the packed variants run neither hook.  The
-    # device enforces this: every packed command raises PackedPathError when
-    # either hook is live, so a scheduled fault can never be skipped.
+    # They run the same None-guarded hooks as their address-object twins —
+    # the fault injector before any state changes, one flash event after —
+    # so the engine has one command path whether or not anything observes it.
 
     def program_page_packed(
         self, die: int, block: int, page: int, data: bytes,
@@ -308,10 +302,8 @@ class FlashDevice:
 
         Equivalent to :meth:`program_page` with
         ``PageMetadata(lpn=lpn, seq=seq, obj_id=obj_id)`` (``-1`` encodes an
-        unset ``lpn``/``obj_id``) when no faults/events are attached.
+        unset ``lpn``/``obj_id``).
         """
-        if self.faults is not None or self.events is not None:
-            raise PackedPathError("program_page_packed")
         if type(data) is not bytes:
             if not isinstance(data, (bytearray, memoryview)):
                 raise DataError(
@@ -323,10 +315,15 @@ class FlashDevice:
             raise DataError(
                 f"payload of {nbytes} bytes exceeds page size {self._page_size}"
             )
-        __, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
+        if self.faults is not None:
+            self.faults.on_command("program_page", die, block, page, at=at)
+        start, xfer_done = self._die_channels[die].reserve(at, self._page_bus_us)
         __, end = self._die_timelines[die].reserve(xfer_done, self._program_us)
         self._die_blocks[die][block].program_packed(page, data, lpn, seq, obj_id)
         self.stats.record_program(die, nbytes, end - at)
+        if self.events is not None:
+            self.events.emit(at, "flash", "program_page", die=die,
+                             block=block, page=page, start_us=start, end_us=end)
         clock = self.clock
         if end > clock._now:
             clock._now = end
@@ -343,8 +340,6 @@ class FlashDevice:
         :class:`~repro.flash.errors.CopybackError` under strict plane
         rules, exactly like :meth:`copyback`.
         """
-        if self.faults is not None or self.events is not None:
-            raise PackedPathError("copyback_packed")
         if self.strict_plane_copyback:
             src_plane = self.geometry.plane_of_block(src_block)
             dst_plane = self.geometry.plane_of_block(dst_block)
@@ -353,20 +348,32 @@ class FlashDevice:
                     f"strict plane copyback: die {die} block {src_block} (plane {src_plane})"
                     f" -> block {dst_block} (plane {dst_plane})"
                 )
+        if self.faults is not None:
+            self.faults.on_command("copyback", die, src_block, src_page, at=at)
         blocks = self._die_blocks[die]
         blocks[src_block].copy_page_to(src_page, blocks[dst_block], dst_page)
-        __, end = self._die_timelines[die].reserve(at, self._copyback_us)
+        start, end = self._die_timelines[die].reserve(at, self._copyback_us)
         self.stats.record_copyback(die)
+        if self.events is not None:
+            self.events.emit(at, "flash", "copyback", die=die,
+                             block=src_block, page=src_page,
+                             dst_block=dst_block, dst_page=dst_page,
+                             start_us=start, end_us=end)
         self.clock.advance_to(end)
         return end
 
     def erase_block_packed(self, die: int, block: int, at: float) -> float:
         """ERASE BLOCK on pre-validated coordinates; returns completion time."""
-        if self.faults is not None or self.events is not None:
-            raise PackedPathError("erase_block_packed")
+        if self.faults is not None:
+            self.faults.on_command("erase_block", die, block, at=at)
         self._die_blocks[die][block].erase()
-        __, end = self._die_timelines[die].reserve(at, self._erase_us)
+        if self.faults is not None:
+            self.faults.after_erase(die, block, at=at)
+        start, end = self._die_timelines[die].reserve(at, self._erase_us)
         self.stats.record_erase(die)
+        if self.events is not None:
+            self.events.emit(at, "flash", "erase_block", die=die,
+                             block=block, start_us=start, end_us=end)
         self.clock.advance_to(end)
         return end
 

@@ -25,15 +25,6 @@ class ConfigError(FlashError, ValueError):
     """
 
 
-class TracerStateError(FlashError, RuntimeError):
-    """A tracer lifecycle operation ran in the wrong state.
-
-    Raised by :class:`repro.flash.trace.FlashTracer` for double-attach.
-    Subclasses ``RuntimeError`` for backward compatibility with generic
-    handlers.
-    """
-
-
 class AddressError(FlashError):
     """A physical address does not exist in the device geometry."""
 
@@ -122,26 +113,6 @@ class DieFailedError(FlashError):
         super().__init__(f"die {die} has failed; writes and erases rejected{detail}")
         self.die = die
         self.op = op
-
-
-class PackedPathError(FlashError):
-    """A packed fast-path command ran with a fault injector or event bus attached.
-
-    The ``*_packed`` device commands exist purely for speed: they skip
-    address re-validation, the :class:`CommandResult` allocation, **and
-    the fault-injection / observability hooks**.  Reaching one while an
-    injector or event bus is attached would silently swallow scheduled
-    faults and drop events — the worst kind of wrong answer.  The device
-    refuses instead; callers must route through the full command set
-    (which the mapping engine's per-call hot-path check already does).
-    """
-
-    def __init__(self, command: str) -> None:
-        super().__init__(
-            f"{command} bypasses the fault-injection and event hooks; "
-            "use the full command set while an injector or event bus is attached"
-        )
-        self.command = command
 
 
 class PowerCutError(FlashError):

@@ -1,4 +1,4 @@
-"""Shared flash-management primitives (valid-page bookkeeping, GC policies).
+"""Shared flash-management primitives (valid-page bookkeeping, the space engine).
 
 Used by both the baseline on-device FTL (:mod:`repro.ftl`) and the paper's
 host-side NoFTL (:mod:`repro.core`) so the comparison between them isolates
@@ -8,13 +8,6 @@ differences.
 
 from repro.mapping.blockinfo import BlockInfo, BlockState, BookkeepingError, DieBookkeeping
 from repro.mapping.engine import FlashSpaceEngine, SpaceFullError
-from repro.mapping.policies import (
-    POLICIES,
-    choose_victim,
-    choose_victim_cost_benefit,
-    choose_victim_from_books,
-    choose_victim_greedy,
-)
 from repro.mapping.stats import ManagementStats
 
 __all__ = [
@@ -24,10 +17,5 @@ __all__ = [
     "DieBookkeeping",
     "FlashSpaceEngine",
     "ManagementStats",
-    "POLICIES",
     "SpaceFullError",
-    "choose_victim",
-    "choose_victim_cost_benefit",
-    "choose_victim_from_books",
-    "choose_victim_greedy",
 ]

@@ -290,18 +290,19 @@ class FlashSpaceEngine:
         per-die frontiers — the knowledge-free placement an FTL performs
         and the paper's *traditional* baseline.
         """
+        # Runs on packed integer coordinates end-to-end (no
+        # PhysicalPageAddress / PageMetadata / CommandResult objects); a
+        # program fault retires the frontier and re-drives the write.  Die
+        # pick and frontier refill are inlined from _pick_die / _frontier;
+        # `has_reclaimable` stays a property access so alternative
+        # bookkeeping cost models keep being exercised.
         device = self.device
-        if device.faults is None and device.events is None:
-            # hot path: no fault injector, no event bus — program faults
-            # cannot occur, so the redrive loop collapses and the write
-            # runs on packed integer coordinates end-to-end (no
-            # PhysicalPageAddress / PageMetadata / CommandResult objects).
-            # Die pick and frontier refill are inlined from _pick_die /
-            # _frontier; `has_reclaimable` stays a property access so
-            # alternative bookkeeping cost models keep being exercised.
-            ppd = self._pages_per_die
-            ppb = self._pages_per_block
-            books_map = self.books
+        ppd = self._pages_per_die
+        ppb = self._pages_per_block
+        books_map = self.books
+        obj = -1 if self.obj_id is None else self.obj_id
+        last: ProgramFaultError | None = None
+        for __ in range(MAX_WRITE_REDRIVES):
             if group is None:
                 dies = self.dies
                 n = len(dies)
@@ -328,13 +329,16 @@ class FlashSpaceEngine:
                 books = books_map[die_index]
             block = frontier.block
             page = books._written[block]
-            obj = self.obj_id
             seq = device._seq + 1  # next_sequence(), sans the call
             device._seq = seq
-            end = device.program_page_packed(
-                die_index, block, page, data, key,
-                seq, -1 if obj is None else obj, at,
-            )
+            try:
+                end = device.program_page_packed(
+                    die_index, block, page, data, key, seq, obj, at
+                )
+            except ProgramFaultError as exc:
+                last = exc
+                at = self._on_program_fault(frontier, at)
+                continue
             # inline invalidate(key): the overwritten version (if any) dies
             old = self._map.pop(key, None)
             if old is not None:
@@ -349,29 +353,6 @@ class FlashSpaceEngine:
             if group is None and books._written[block] >= ppb:
                 self._user_frontier[die_index] = None
             return end
-        last: ProgramFaultError | None = None
-        for __ in range(MAX_WRITE_REDRIVES):
-            if group is None:
-                die_index = self._pick_die()
-                at = self._collect_if_needed(die_index, at)
-                frontier = self._frontier(self._user_frontier, die_index)
-            else:
-                frontier, at = self._group_frontier(group, at)
-                die_index = frontier.die
-            page = frontier.written
-            ppa = PhysicalPageAddress(die_index, frontier.block, page)
-            meta = PageMetadata(lpn=key, seq=self.device.next_sequence(), obj_id=self.obj_id)
-            try:
-                result = self.device.program_page(ppa, data, meta, at=at)
-            except ProgramFaultError as exc:
-                last = exc
-                at = self._on_program_fault(frontier, at)
-                continue
-            self.invalidate(key)
-            self._map_page(key, ppa, frontier, page, result.end_us)
-            if frontier.is_full and group is None:
-                self._user_frontier[die_index] = None
-            return result.end_us
         assert last is not None
         raise last
 
@@ -594,13 +575,7 @@ class FlashSpaceEngine:
         for page in victim.valid_pages():
             src = PhysicalPageAddress(die_index, victim.block, page)
             at = self._relocate(src, at)
-        device = self.device
-        if device.faults is None and device.events is None:
-            end = device.erase_block_packed(die_index, victim.block, at)
-        else:
-            end = device.erase_block(
-                PhysicalBlockAddress(die_index, victim.block), at=at
-            ).end_us
+        end = self.device.erase_block_packed(die_index, victim.block, at)
         self.stats.gc_erases += 1
         self._erases_since_wl_check += 1
         self._retire_or_recycle(die_index, victim.block)
@@ -646,11 +621,10 @@ class FlashSpaceEngine:
         src_packed = src.die * self._pages_per_die + src.block * self._pages_per_block + src.page
         key = self._rmap[src_packed]
         device = self.device
-        if device.faults is None and device.events is None:
-            # hot path mirror of the loop below: without a fault injector a
-            # program fault cannot occur, so one attempt always lands
+        books = self.books[die_index]
+        last: ProgramFaultError | None = None
+        for __ in range(MAX_WRITE_REDRIVES):
             frontier = self._frontier(self._gc_frontier, die_index)
-            books = self.books[die_index]
             block = frontier.block
             page = books._written[block]
             try:
@@ -661,7 +635,14 @@ class FlashSpaceEngine:
             except CopybackError:
                 read = self._read_for_relocation(src, at)
                 dst = PhysicalPageAddress(die_index, block, page)
-                end = device.program_page(dst, read.data, read.metadata, at=read.end_us).end_us
+                try:
+                    end = device.program_page(
+                        dst, read.data, read.metadata, at=read.end_us
+                    ).end_us
+                except ProgramFaultError as exc:
+                    last = exc
+                    at = self._on_program_fault(frontier, at)
+                    continue
                 self.stats.gc_reads += 1
                 self.stats.gc_programs += 1
             books.invalidate_packed(src.block, src.page)
@@ -673,29 +654,6 @@ class FlashSpaceEngine:
             if books._written[block] >= self._pages_per_block:
                 self._gc_frontier[die_index] = None
             return end
-        last: ProgramFaultError | None = None
-        for __ in range(MAX_WRITE_REDRIVES):
-            frontier = self._frontier(self._gc_frontier, die_index)
-            page = frontier.written
-            dst = PhysicalPageAddress(die_index, frontier.block, page)
-            try:
-                result = self.device.copyback(src, dst, at=at)  # carries source OOB
-                self.stats.gc_copybacks += 1
-            except CopybackError:
-                read = self._read_for_relocation(src, at)
-                try:
-                    result = self.device.program_page(dst, read.data, read.metadata, at=read.end_us)
-                except ProgramFaultError as exc:
-                    last = exc
-                    at = self._on_program_fault(frontier, at)
-                    continue
-                self.stats.gc_reads += 1
-                self.stats.gc_programs += 1
-            self._unmap_physical(src, src_packed)
-            self._map_page(key, dst, frontier, page, result.end_us)
-            if frontier.is_full:
-                self._gc_frontier[die_index] = None
-            return result.end_us
         assert last is not None
         raise last
 

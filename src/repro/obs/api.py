@@ -2,10 +2,10 @@
 
 Every statistics producer in the system — :class:`~repro.flash.stats.FlashStats`,
 :class:`~repro.mapping.stats.ManagementStats`,
-:class:`~repro.db.buffer.BufferStats`, :class:`~repro.flash.trace.FlashTracer` —
+:class:`~repro.db.buffer.BufferStats`, :class:`~repro.obs.events.EventBus` —
 speaks one API: ``snapshot() -> dict[str, float]``.  Keys are dotted,
 lower-level producers use *local* keys (``gc_copybacks``,
-``ops.program_page``); the :class:`~repro.obs.registry.MetricRegistry`
+``flash.program_page``); the :class:`~repro.obs.registry.MetricRegistry`
 prepends the namespace (``mgmt.``, ``region.rgHot.``) when a producer is
 registered as a source, yielding the global key space documented in
 ``docs/ARCHITECTURE.md``.
@@ -24,7 +24,7 @@ ROOT_NAMESPACES: tuple[str, ...] = (
     "mgmt",     # management-layer totals (ManagementStats, FTL or summed regions)
     "region",   # per-region breakdowns: region.<name>.<counter>
     "db",       # DBMS-side counters (db.buffer.*)
-    "trace",    # event-bus / tracer counters
+    "trace",    # event-bus counters
     "workload", # benchmark-driver metrics (TPS, transaction latencies)
     "faults",   # fault injection & recovery accounting (FaultStats)
 )

@@ -1,10 +1,11 @@
 """Cross-layer structured event bus.
 
-Generalizes the flash-command tracer into one stream covering the whole
-stack: a host I/O (``layer="host"``, with region/object attribution), the
-mapping decisions it triggers (``layer="mapping"``: GC victim selection,
-wear levelling, translation-page traffic) and the native commands that
-execute it (``layer="flash"``: per-die reads/programs/erases/copybacks).
+One stream covering the whole stack: a host I/O (``layer="host"``, with
+region/object attribution), the mapping decisions it triggers
+(``layer="mapping"``: GC victim selection, wear levelling,
+translation-page traffic) and the native commands that execute it
+(``layer="flash"``: per-die reads/programs/erases/copybacks, each with
+its ``start_us``/``end_us`` execution interval).
 
 One bus is shared per device (``FlashDevice.events``); every producer
 emits only when a bus is attached, so the hot path pays a single ``is not

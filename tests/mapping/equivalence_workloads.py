@@ -67,11 +67,10 @@ def run_engine_workload(
 ) -> dict:
     """Skewed write/trim/atomic workload straight against one engine.
 
-    ``slow_path=True`` attaches an event bus to the device, which disables
-    the engine's packed array-core fast paths (they are only legal when no
-    observer needs per-command events) — the same workload then runs
-    through the full command implementations, letting golden tests prove
-    both paths simulate identically.
+    ``slow_path=True`` means "event bus attached": every device command,
+    the engine's packed ones included, then emits a flash event.  The
+    engine has one command path either way, so golden tests use it to
+    prove that observing a run leaves the run unchanged.
     """
     engine = build_engine(gc_policy, seed)
     if slow_path:

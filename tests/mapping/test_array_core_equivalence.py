@@ -1,13 +1,12 @@
-"""Array-core equivalence: packed fast paths and full command paths agree.
+"""Array-core equivalence: an observed run equals an unobserved one.
 
 The engine's write/GC/WL hot paths run against flat column storage
 (``array``/``bytearray`` valid masks and counters, integer-packed
-physical addresses) and skip straight to the device's packed command
-variants whenever no fault injector or event bus is attached.  Attaching
-an event bus forces every operation back through the full command
-implementations.  Both executions of the same seeded workload must land
-on the *same* golden snapshots pinned in ``test_engine_equivalence.py`` —
-the fast path is an encoding change, never a behaviour change.
+physical addresses) and issue the device's packed command variants,
+which emit flash events when an event bus is attached.  "Slow path"
+here means *event bus attached*: the same seeded workload, observed,
+must land on the *same* golden snapshots pinned in
+``test_engine_equivalence.py`` — observing a run never changes it.
 """
 
 import pytest
@@ -18,7 +17,7 @@ from tests.mapping.test_engine_equivalence import GOLDEN
 
 @pytest.mark.parametrize("policy,seed", sorted(GOLDEN))
 def test_slow_path_matches_goldens(policy, seed):
-    """With an event bus attached (fast paths disabled) the goldens hold."""
+    """With an event bus attached the goldens hold."""
     snapshot = run_engine_workload(policy, seed, slow_path=True)
     expected = GOLDEN[(policy, seed)]
     diverged = {
@@ -31,7 +30,7 @@ def test_slow_path_matches_goldens(policy, seed):
 
 @pytest.mark.parametrize("policy,seed", [("greedy", 3), ("cost_benefit", 11)])
 def test_fast_and_slow_paths_bit_identical(policy, seed):
-    """Field-by-field identity of the two execution paths, end to end."""
+    """Field-by-field identity of a run with and without an event bus."""
     fast = run_engine_workload(policy, seed, slow_path=False)
     slow = run_engine_workload(policy, seed, slow_path=True)
     assert fast == slow

@@ -1,13 +1,17 @@
-"""Unit tests for GC victim-selection policies."""
+"""Unit tests for GC victim selection over the engine's BlockInfo records."""
 
 import pytest
 
-from repro.mapping import (
-    BlockInfo,
-    choose_victim,
-    choose_victim_cost_benefit,
-    choose_victim_greedy,
+from repro.mapping import BlockInfo
+from repro.policies import (
+    resolve_gc_policy,
+    select_victim_cost_benefit,
+    select_victim_greedy,
 )
+
+
+def choose_victim(policy, candidates, now_us):
+    return resolve_gc_policy(policy).choose_victim(candidates, now_us)
 
 
 def block(die, blk, pages=4, valid=0, written=None, last_write=0.0):
@@ -25,61 +29,31 @@ class TestGreedy:
     def test_picks_most_invalid(self):
         a = block(0, 0, valid=3)
         b = block(0, 1, valid=1)
-        assert choose_victim_greedy([a, b]) is b
+        assert select_victim_greedy([a, b]) is b
 
     def test_empty_candidates(self):
-        assert choose_victim_greedy([]) is None
+        assert select_victim_greedy([]) is None
 
     def test_tie_breaks_by_address(self):
         a = block(1, 5, valid=1)
         b = block(0, 7, valid=1)
-        assert choose_victim_greedy([a, b]) is b
+        assert select_victim_greedy([a, b]) is b
 
 
 class TestCostBenefit:
     def test_fully_invalid_block_always_wins(self):
         a = block(0, 0, valid=0, last_write=100.0)
         b = block(0, 1, valid=1, last_write=0.0)
-        assert choose_victim_cost_benefit([a, b], now_us=200.0) is a
+        assert select_victim_cost_benefit([a, b], now_us=200.0) is a
 
     def test_prefers_old_cold_blocks(self):
         # same validity, different age: older block wins
         young = block(0, 0, valid=2, last_write=90.0)
         old = block(0, 1, valid=2, last_write=10.0)
-        assert choose_victim_cost_benefit([young, old], now_us=100.0) is old
+        assert select_victim_cost_benefit([young, old], now_us=100.0) is old
 
     def test_empty_candidates(self):
-        assert choose_victim_cost_benefit([], now_us=0.0) is None
-
-
-class TestFacadeIsReExport:
-    """The mapping-layer helpers are the policy lab's kernels, not forks.
-
-    Pins the collapse of the legacy free functions into aliases: any
-    future behavioural divergence between ``repro.mapping.policies`` and
-    ``repro.policies`` must show up here as an identity break.
-    """
-
-    def test_selection_kernels_are_aliases(self):
-        from repro import policies as lab
-        from repro.mapping import policies as facade
-
-        assert facade.choose_victim_greedy is lab.select_victim_greedy
-        assert facade.choose_victim_cost_benefit is lab.select_victim_cost_benefit
-
-    def test_policy_catalogue_matches_registry(self):
-        from repro.mapping.policies import POLICIES
-        from repro.policies import available_gc_policies
-
-        assert sorted(POLICIES) == sorted(available_gc_policies())
-
-    def test_dispatch_agrees_with_registry_policy(self):
-        from repro.policies import resolve_gc_policy
-
-        pool = [block(0, 0, valid=3), block(0, 1, valid=1), block(1, 2, valid=0)]
-        for name in ("greedy", "cost_benefit"):
-            direct = resolve_gc_policy(name).choose_victim(list(pool), now_us=500.0)
-            assert choose_victim(name, list(pool), now_us=500.0) is direct
+        assert select_victim_cost_benefit([], now_us=0.0) is None
 
 
 class TestDispatch:

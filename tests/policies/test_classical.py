@@ -14,8 +14,7 @@ from tests.policies.util import block
 
 
 class TestSharedSelectors:
-    """The free functions back both the policy objects and the old
-    repro.mapping.policies API — same loop bodies, same answers."""
+    """The free functions behind the greedy and cost-benefit policies."""
 
     def test_greedy_picks_most_invalid(self):
         a = block(0, 0, valid=3)

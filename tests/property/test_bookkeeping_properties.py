@@ -13,13 +13,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.flash import FlashDevice, FlashGeometry, instant_timing
-from repro.mapping import (
-    BlockState,
-    DieBookkeeping,
-    FlashSpaceEngine,
-    ManagementStats,
-    choose_victim_greedy,
-)
+from repro.mapping import BlockState, DieBookkeeping, FlashSpaceEngine, ManagementStats
+from repro.policies import select_victim_greedy
 
 PAGES_PER_BLOCK = 4
 BLOCKS_PER_DIE = 6
@@ -100,7 +95,7 @@ def test_bucketed_greedy_equals_scanning_greedy(operations):
     for kind, arg in operations:
         apply_op(die, open_blocks, kind, arg)
         fast = die.greedy_victim()
-        slow = choose_victim_greedy(die.gc_candidates_scan())
+        slow = select_victim_greedy(die.gc_candidates_scan())
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert fast.block == slow.block
