@@ -35,16 +35,27 @@ _LEAF_HEADER = struct.Struct("<BHi")  # type, count, next_leaf
 _INNER_HEADER = struct.Struct("<BH")  # type, count
 _LEAF_TYPE = 1
 _INNER_TYPE = 2
+_I64 = struct.Struct("<q")  # INT key part
+_U16 = struct.Struct("<H")  # text key part length prefix
 
 
 class KeyCodec:
-    """Serialises composite keys of INT/CHAR/VARCHAR columns."""
+    """Serialises composite keys of INT/CHAR/VARCHAR columns.
+
+    INT parts are ``<q``; text parts (CHAR included) are ``<H``-prefixed
+    UTF-8.  An all-INT key is one precompiled :class:`struct.Struct`.
+    """
 
     def __init__(self, schema: Schema) -> None:
         for column in schema:
             if column.type is ColumnType.FLOAT:
                 raise SchemaError(f"FLOAT column {column.name!r} cannot be a key")
         self.schema = schema
+        #: per part: True for INT, False for text
+        self._int_parts = tuple(c.type is ColumnType.INT for c in schema)
+        self._ints: struct.Struct | None = (
+            struct.Struct("<" + "q" * len(schema)) if all(self._int_parts) else None
+        )
 
     @property
     def max_size(self) -> int:
@@ -59,26 +70,31 @@ class KeyCodec:
 
     def encode(self, key: Key) -> bytes:
         """Serialise a key tuple."""
-        if len(key) != len(self.schema):
-            raise SchemaError(f"key has {len(key)} parts, index has {len(self.schema)}")
+        if len(key) != len(self._int_parts):
+            raise SchemaError(f"key has {len(key)} parts, index has {len(self._int_parts)}")
+        if self._ints is not None:
+            return self._ints.pack(*key)
         parts: list[bytes] = []
-        for column, value in zip(self.schema, key):
-            if column.type is ColumnType.INT:
-                parts.append(struct.pack("<q", value))
+        for is_int, value in zip(self._int_parts, key):
+            if is_int:
+                parts.append(_I64.pack(value))
             else:
                 raw = value.encode("utf-8")
-                parts.append(struct.pack("<H", len(raw)) + raw)
+                parts.append(_U16.pack(len(raw)))
+                parts.append(raw)
         return b"".join(parts)
 
     def decode(self, data: bytes, offset: int) -> tuple[Key, int]:
         """Deserialise one key starting at ``offset``; returns (key, end)."""
+        if self._ints is not None:
+            return self._ints.unpack_from(data, offset), offset + self._ints.size
         values = []
-        for column in self.schema:
-            if column.type is ColumnType.INT:
-                (v,) = struct.unpack_from("<q", data, offset)
+        for is_int in self._int_parts:
+            if is_int:
+                (v,) = _I64.unpack_from(data, offset)
                 offset += 8
             else:
-                (length,) = struct.unpack_from("<H", data, offset)
+                (length,) = _U16.unpack_from(data, offset)
                 offset += 2
                 v = data[offset : offset + length].decode("utf-8")
                 offset += length

@@ -151,68 +151,109 @@ class Schema:
         return total
 
 
+#: VARCHAR length prefix.
+_U16 = struct.Struct("<H")
+
+#: ``struct`` format code of each fixed-width column type.
+_FIXED_CODES = {ColumnType.INT: "q", ColumnType.FLOAT: "d"}
+
+# enum member lookups are slow attribute accesses; the codec loops test
+# against these module-level names instead
+_INT, _FLOAT, _CHAR = ColumnType.INT, ColumnType.FLOAT, ColumnType.CHAR
+
+
 class RowCodec:
-    """Serialises rows (tuples, schema order) to bytes and back."""
+    """Serialises rows (tuples, schema order) to bytes and back.
+
+    The schema is compiled once into *segments*: each run of fixed-width
+    columns becomes one :class:`struct.Struct` (INT ``q``, FLOAT ``d``,
+    CHAR(n) ``ns``) and each VARCHAR its own ``<H``-prefixed segment, so a
+    row costs one ``pack``/``unpack_from`` per segment instead of one per
+    column.
+    """
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
+        self._arity = len(schema)
+        #: (position, type, length, name) per column, for encode's checks
+        self._plan = tuple((i, c.type, c.length, c.name) for i, c in enumerate(schema))
+        self._char_positions = tuple(
+            i for i, c in enumerate(schema) if c.type is ColumnType.CHAR
+        )
+        segments: list[tuple[struct.Struct | None, int, int]] = []
+        run, start = "", 0
+        for pos, column in enumerate(schema):
+            if column.type is ColumnType.VARCHAR:
+                if run:
+                    segments.append((struct.Struct("<" + run), start, pos))
+                segments.append((None, pos, pos + 1))
+                run, start = "", pos + 1
+            elif column.type is ColumnType.CHAR:
+                run += f"{column.length}s"
+            else:
+                run += _FIXED_CODES[column.type]
+        if run:
+            segments.append((struct.Struct("<" + run), start, self._arity))
+        #: (struct, start, stop): the row positions each segment packs
+        self._segments = tuple(segments)
 
     def encode(self, row: Row) -> bytes:
         """Serialise ``row``; validates arity, types and text lengths."""
-        if len(row) != len(self.schema):
+        if len(row) != self._arity:
             raise SchemaError(
-                f"row has {len(row)} values, schema has {len(self.schema)} columns"
+                f"row has {len(row)} values, schema has {self._arity} columns"
             )
+        values = list(row)
+        for i, kind, length, name in self._plan:
+            value = values[i]
+            if kind is _INT:
+                if not isinstance(value, int):
+                    raise SchemaError(
+                        f"column {name!r} expects int, got {type(value).__name__}"
+                    )
+            elif kind is _FLOAT:
+                if not isinstance(value, (int, float)):
+                    raise SchemaError(
+                        f"column {name!r} expects number, got {type(value).__name__}"
+                    )
+            else:
+                if not isinstance(value, str):
+                    raise SchemaError(
+                        f"column {name!r} expects str, got {type(value).__name__}"
+                    )
+                raw = value.encode("utf-8")
+                if len(raw) > length:
+                    raise SchemaError(
+                        f"column {name!r}: value of {len(raw)} bytes exceeds "
+                        f"{kind.value.upper()}({length})"
+                    )
+                # struct pads ``ns`` with NULs; CHAR pads with spaces
+                values[i] = raw.ljust(length, b" ") if kind is _CHAR else raw
         parts: list[bytes] = []
-        for column, value in zip(self.schema, row):
-            parts.append(self._encode_value(column, value))
+        for segment, start, stop in self._segments:
+            if segment is None:
+                raw = values[start]
+                parts.append(_U16.pack(len(raw)))
+                parts.append(raw)
+            else:
+                parts.append(segment.pack(*values[start:stop]))
         return b"".join(parts)
 
     def decode(self, data: bytes) -> Row:
         """Inverse of :meth:`encode`."""
-        values = []
+        values: list[Any] = []
         offset = 0
-        for column in self.schema:
-            value, offset = self._decode_value(column, data, offset)
-            values.append(value)
+        for segment, __, __ in self._segments:
+            if segment is None:
+                (length,) = _U16.unpack_from(data, offset)
+                offset += 2
+                values.append(data[offset : offset + length].decode("utf-8"))
+                offset += length
+            else:
+                values.extend(segment.unpack_from(data, offset))
+                offset += segment.size
         if offset != len(data):
             raise SchemaError(f"trailing {len(data) - offset} bytes after decoding row")
+        for i in self._char_positions:
+            values[i] = values[i].decode("utf-8").rstrip(" ")
         return tuple(values)
-
-    def _encode_value(self, column: Column, value: object) -> bytes:
-        if column.type is ColumnType.INT:
-            if not isinstance(value, int):
-                raise SchemaError(f"column {column.name!r} expects int, got {type(value).__name__}")
-            return struct.pack("<q", value)
-        if column.type is ColumnType.FLOAT:
-            if not isinstance(value, (int, float)):
-                raise SchemaError(f"column {column.name!r} expects number, got {type(value).__name__}")
-            return struct.pack("<d", float(value))
-        if not isinstance(value, str):
-            raise SchemaError(f"column {column.name!r} expects str, got {type(value).__name__}")
-        raw = value.encode("utf-8")
-        if len(raw) > column.length:
-            raise SchemaError(
-                f"column {column.name!r}: value of {len(raw)} bytes exceeds "
-                f"{column.type.value.upper()}({column.length})"
-            )
-        if column.type is ColumnType.CHAR:
-            return raw.ljust(column.length, b" ")
-        return struct.pack("<H", len(raw)) + raw
-
-    def _decode_value(
-        self, column: Column, data: bytes, offset: int
-    ) -> tuple[int | float | str, int]:
-        if column.type is ColumnType.INT:
-            (value,) = struct.unpack_from("<q", data, offset)
-            return value, offset + 8
-        if column.type is ColumnType.FLOAT:
-            (value,) = struct.unpack_from("<d", data, offset)
-            return value, offset + 8
-        if column.type is ColumnType.CHAR:
-            raw = data[offset : offset + column.length]
-            return raw.decode("utf-8").rstrip(" "), offset + column.length
-        (length,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        raw = data[offset : offset + length]
-        return raw.decode("utf-8"), offset + length

@@ -24,6 +24,7 @@ import struct
 _HEADER = struct.Struct("<HHH")
 _SLOT = struct.Struct("<HH")
 _MAGIC = 0x5350  # "SP"
+_EMPTY_SLOT = _SLOT.pack(0, 0)
 
 
 class PageFullError(Exception):
@@ -47,13 +48,15 @@ class SlottedPage:
             raise ValueError(f"page_size {page_size} too small (min {min_size + 1})")
         self.page_size = page_size
         self._records: list[bytes | None] = []
+        # kept in step with _records so space queries are O(1)
+        self._payload = 0  # bytes of live records
+        self._holes = 0  # emptied slots (None entries)
 
     # ------------------------------------------------------------------
     # Space accounting
     # ------------------------------------------------------------------
     def _used_bytes(self) -> int:
-        payload = sum(len(r) for r in self._records if r is not None)
-        return _HEADER.size + _SLOT.size * len(self._records) + payload
+        return _HEADER.size + _SLOT.size * len(self._records) + self._payload
 
     def free_space(self) -> int:
         """Bytes available for a new record (slot overhead included)."""
@@ -62,7 +65,7 @@ class SlottedPage:
     def fits(self, record: bytes) -> bool:
         """Whether ``record`` can be inserted into this page."""
         # a reusable empty slot saves the directory entry
-        if any(r is None for r in self._records):
+        if self._holes:
             return len(record) <= self.free_space() + _SLOT.size
         return len(record) <= self.free_space()
 
@@ -73,11 +76,11 @@ class SlottedPage:
 
     def live_records(self) -> int:
         """Number of non-deleted records."""
-        return sum(1 for r in self._records if r is not None)
+        return len(self._records) - self._holes
 
     def is_empty(self) -> bool:
         """Whether the page holds no live records."""
-        return self.live_records() == 0
+        return len(self._records) == self._holes
 
     # ------------------------------------------------------------------
     # Record operations
@@ -94,10 +97,12 @@ class SlottedPage:
             raise PageFullError(
                 f"record of {len(record)} bytes does not fit ({self.free_space()} free)"
             )
-        for slot, existing in enumerate(self._records):
-            if existing is None:
-                self._records[slot] = record
-                return slot
+        self._payload += len(record)
+        if self._holes:
+            self._holes -= 1
+            slot = self._records.index(None)
+            self._records[slot] = record
+            return slot
         self._records.append(record)
         return len(self._records) - 1
 
@@ -119,15 +124,20 @@ class SlottedPage:
                 f"update grows record by {growth} bytes, only {self.free_space()} free"
             )
         self._records[slot] = bytes(record)
+        self._payload += growth
 
     def delete(self, slot: int) -> None:
         """Delete the record in ``slot`` (slot becomes reusable)."""
-        if self._slot(slot) is None:
+        old = self._slot(slot)
+        if old is None:
             raise SlotError(f"slot {slot} already empty")
         self._records[slot] = None
+        self._payload -= len(old)
+        self._holes += 1
         # shrink the directory if a tail of slots is empty
         while self._records and self._records[-1] is None:
             self._records.pop()
+            self._holes -= 1
 
     def slots(self) -> list[tuple[int, bytes]]:
         """All live ``(slot, record)`` pairs in slot order."""
@@ -143,22 +153,20 @@ class SlottedPage:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialise to the fixed ``page_size`` on-flash image."""
-        buf = bytearray(self.page_size)
+        slots: list[bytes] = []
+        heap: list[bytes] = []
         free_end = self.page_size
-        offsets: list[tuple[int, int]] = []
         for record in self._records:
             if record is None:
-                offsets.append((0, 0))
+                slots.append(_EMPTY_SLOT)
                 continue
             free_end -= len(record)
-            buf[free_end : free_end + len(record)] = record
-            offsets.append((free_end, len(record)))
-        _HEADER.pack_into(buf, 0, _MAGIC, len(self._records), free_end)
-        pos = _HEADER.size
-        for offset, length in offsets:
-            _SLOT.pack_into(buf, pos, offset, length)
-            pos += _SLOT.size
-        return bytes(buf)
+            slots.append(_SLOT.pack(free_end, len(record)))
+            heap.append(record)
+        heap.reverse()  # records fill the page from the back, slot 0 last
+        gap = free_end - _HEADER.size - _SLOT.size * len(slots)
+        header = _HEADER.pack(_MAGIC, len(self._records), free_end)
+        return b"".join((header, *slots, bytes(gap), *heap))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlottedPage":
@@ -167,14 +175,16 @@ class SlottedPage:
         magic, slot_count, __ = _HEADER.unpack_from(data, 0)
         if magic != _MAGIC:
             raise ValueError(f"not a slotted page (magic {magic:#x})")
-        pos = _HEADER.size
-        for __ in range(slot_count):
-            offset, length = _SLOT.unpack_from(data, pos)
-            pos += _SLOT.size
+        records = page._records
+        directory = data[_HEADER.size : _HEADER.size + _SLOT.size * slot_count]
+        for offset, length in _SLOT.iter_unpack(directory):
             if offset == 0:
-                page._records.append(None)
+                records.append(None)
+                page._holes += 1
             else:
-                page._records.append(bytes(data[offset : offset + length]))
+                record = bytes(data[offset : offset + length])
+                records.append(record)
+                page._payload += len(record)
         return page
 
     @classmethod

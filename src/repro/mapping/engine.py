@@ -1015,5 +1015,20 @@ class FlashSpaceEngine:
             assert (info.die, info.block) not in held, f"block held by two frontiers: {info!r}"
             held.add((info.die, info.block))
             assert info.state is not BlockState.FREE, f"frontier holds a FREE block: {info!r}"
-        for books in self.books.values():
+        for die_index, books in self.books.items():
+            device_blocks = self.device.dies[die_index].blocks
+            for info in books.blocks:
+                pointer = device_blocks[info.block].write_pointer
+                # seal() counts a closed block's unwritten tail as written,
+                # and bad blocks are sealed before they retire
+                if info.state in (BlockState.FREE, BlockState.OPEN):
+                    assert info.written == pointer, (
+                        f"bookkeeping written {info.written} != device write pointer "
+                        f"{pointer}: {info!r}"
+                    )
+                else:
+                    assert info.written >= pointer, (
+                        f"bookkeeping written {info.written} < device write pointer "
+                        f"{pointer}: {info!r}"
+                    )
             books.check_invariants()

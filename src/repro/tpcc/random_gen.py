@@ -24,6 +24,32 @@ LAST_NAME_SYLLABLES = (
 )
 
 
+class _Alphabet:
+    """Translation tables that turn raw random words into ``rng.choice`` picks.
+
+    ``random.Random.choice(seq)`` draws ``k = len(seq).bit_length()`` bits
+    per try — the top ``k`` bits of one 32-bit Mersenne Twister output —
+    and rejects draws ``>= len(seq)``.  Those bits are the top of each
+    output's high byte, so a bulk ``getrandbits(32 * m)`` (m outputs,
+    first one lowest) yields m tries at once: ``table`` maps a high byte
+    to its character, ``reject`` lists the high bytes of rejected tries.
+    """
+
+    def __init__(self, chars: str) -> None:
+        n = len(chars)
+        shift = 8 - n.bit_length()
+        if shift < 0:
+            raise ValueError("alphabet longer than 255 characters")
+        self.table = bytes(
+            ord(chars[b >> shift]) if b >> shift < n else 0 for b in range(256)
+        )
+        self.reject = bytes(b for b in range(256) if b >> shift >= n)
+
+
+_ALPHANUMERIC = _Alphabet("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
+_DIGITS = _Alphabet("0123456789")
+
+
 class TPCCRandom:
     """Seeded random source with the TPC-C helper distributions."""
 
@@ -47,14 +73,25 @@ class TPCCRandom:
 
     def astring(self, lo: int, hi: int) -> str:
         """Random alphanumeric string of length uniform in ``[lo, hi]``."""
-        length = self.uniform(lo, hi)
-        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
-        return "".join(self.rng.choice(alphabet) for __ in range(length))
+        return self._choices(_ALPHANUMERIC, self.uniform(lo, hi))
 
     def nstring(self, lo: int, hi: int) -> str:
         """Random numeric string of length uniform in ``[lo, hi]``."""
-        length = self.uniform(lo, hi)
-        return "".join(self.rng.choice("0123456789") for __ in range(length))
+        return self._choices(_DIGITS, self.uniform(lo, hi))
+
+    def _choices(self, alphabet: _Alphabet, length: int) -> str:
+        """``length`` calls of ``rng.choice`` over the alphabet, drawn in bulk.
+
+        Draws exactly the words the per-character calls would: each round
+        draws one try per missing character, so the stream is never
+        over-read and stays aligned for the draws that follow.
+        """
+        out = b""
+        while len(out) < length:
+            need = length - len(out)
+            words = self.rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            out += words[3::4].translate(alphabet.table, alphabet.reject)
+        return out.decode("ascii")
 
     def nurand(self, a: int, x: int, y: int, c: int) -> int:
         """Spec 2.1.6: ``(((rand(0,A) | rand(x,y)) + C) % (y - x + 1)) + x``."""

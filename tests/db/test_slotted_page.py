@@ -1,8 +1,11 @@
 """Unit tests for slotted pages."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.db import PageFullError, SlotError, SlottedPage
+from repro.db.slotted_page import _HEADER, _SLOT
 
 
 class TestBasics:
@@ -118,3 +121,78 @@ class TestEdgeCases:
         page = SlottedPage(128)
         with pytest.raises(TypeError):
             page.insert("text")
+
+
+page_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.binary(max_size=40)),
+        st.tuples(st.just("update"), st.integers(0, 63), st.binary(max_size=40)),
+        st.tuples(st.just("delete"), st.integers(0, 63)),
+        st.tuples(st.just("reload")),
+    ),
+    max_size=80,
+)
+
+
+def reference_image(page):
+    """The on-flash layout written one record and one slot at a time."""
+    buf = bytearray(page.page_size)
+    free_end = page.page_size
+    directory = []
+    for record in page._records:
+        if record is None:
+            directory.append((0, 0))
+            continue
+        free_end -= len(record)
+        buf[free_end : free_end + len(record)] = record
+        directory.append((free_end, len(record)))
+    _HEADER.pack_into(buf, 0, 0x5350, len(page._records), free_end)
+    for i, (offset, length) in enumerate(directory):
+        _SLOT.pack_into(buf, _HEADER.size + i * _SLOT.size, offset, length)
+    return bytes(buf)
+
+
+def assert_accounting_matches_records(page):
+    """The O(1) space queries equal a from-scratch recompute over ``_records``."""
+    records = page._records
+    live = [r for r in records if r is not None]
+    used = _HEADER.size + _SLOT.size * len(records) + sum(map(len, live))
+    free = page.page_size - used - _SLOT.size
+    reusable = _SLOT.size if len(live) < len(records) else 0
+    assert page.free_space() == free
+    assert page.live_records() == len(live)
+    assert page.is_empty() == (not live)
+    for size in range(max(0, free - 2), free + reusable + 3):
+        assert page.fits(bytes(size)) == (size <= free + reusable), size
+
+
+class TestSpaceAccounting:
+    @settings(max_examples=200, deadline=None)
+    @given(page_ops)
+    def test_accounting_and_image_match_recompute(self, ops):
+        page = SlottedPage(160)
+        for op in ops:
+            live = [slot for slot, __ in page.slots()]
+            if op[0] == "insert":
+                if page.fits(op[1]):
+                    assert page.read(page.insert(op[1])) == op[1]
+                else:
+                    with pytest.raises(PageFullError):
+                        page.insert(op[1])
+            elif op[0] == "update" and live:
+                slot = live[op[1] % len(live)]
+                growth = len(op[2]) - len(page.read(slot))
+                if growth <= page.free_space() + _SLOT.size:
+                    page.update(slot, op[2])
+                    assert page.read(slot) == op[2]
+                else:
+                    with pytest.raises(PageFullError):
+                        page.update(slot, op[2])
+            elif op[0] == "delete" and live:
+                page.delete(live[op[1] % len(live)])
+            elif op[0] == "reload":
+                image = page.to_bytes()
+                page = SlottedPage.from_bytes(image)
+                assert page.to_bytes() == image
+            assert_accounting_matches_records(page)
+            assert page.to_bytes() == reference_image(page)

@@ -1,4 +1,4 @@
-"""Long engine runs and the frontier invariants of ``check_consistency``.
+"""Long engine runs and the frontier and write-pointer invariants of ``check_consistency``.
 
 A group stripe keeps its slot after its block fills.  When GC collected
 such a block and recycled it to the free pool, the stale slot read as not
@@ -55,3 +55,35 @@ class TestFrontierInvariants:
         engine._retire_or_recycle(held.die, held.block)
         assert all(slot is not held for slot in engine._group_frontiers[1])
         engine.check_consistency()
+
+
+class TestWritePointerInvariant:
+    """Bookkeeping ``written`` against the device block's ``write_pointer``."""
+
+    def test_open_block_ahead_of_the_device_is_caught(self):
+        engine = build_engine("greedy", 0)
+        engine.write(0, b"x", 0.0)
+        info = next(slot for slot in engine._user_frontier.values() if slot is not None)
+        assert info.state is BlockState.OPEN
+        engine.check_consistency()
+        info.written += 1
+        with pytest.raises(AssertionError, match="!= device write pointer"):
+            engine.check_consistency()
+
+    def test_free_block_with_programmed_pages_is_caught(self):
+        engine = build_engine("greedy", 0)
+        free = engine.books[0].free_blocks()[0]
+        engine.device.program_page_packed(free.die, free.block, 0, b"x", -1, 0, -1, 0.0)
+        with pytest.raises(AssertionError, match="!= device write pointer"):
+            engine.check_consistency()
+
+    def test_full_block_behind_the_device_is_caught(self):
+        engine = build_engine("greedy", 0)
+        engine.write(0, b"x", 0.0)
+        info = next(slot for slot in engine._user_frontier.values() if slot is not None)
+        info.seal()  # a sealed block counts its unwritten tail as written
+        assert info.state is BlockState.FULL
+        engine.check_consistency()
+        info.written = 0
+        with pytest.raises(AssertionError, match="< device write pointer"):
+            engine.check_consistency()

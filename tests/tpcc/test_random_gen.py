@@ -1,6 +1,12 @@
 """Unit tests for TPC-C randomness."""
 
+import random
+
+import pytest
+
 from repro.tpcc import LAST_NAME_SYLLABLES, TPCCRandom
+
+ALPHANUMERIC = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
 
 
 class TestNURand:
@@ -91,3 +97,22 @@ class TestStringsAndPermutations:
         for __ in range(100):
             v = rng.decimal(1.0, 5000.0)
             assert 1.0 <= v <= 5000.0
+
+
+class TestStringStreamIdentity:
+    """astring/nstring draw in bulk but must equal one ``rng.choice`` per character.
+
+    The loader's whole row stream (and so every simulated number) depends
+    on it: a string one draw off shifts every value drawn after it.
+    """
+
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (1, 1), (4, 4), (8, 16), (26, 50), (300, 500)])
+    def test_same_strings_and_next_draw_as_per_character_choice(self, lo, hi):
+        for seed in range(200):
+            fast = TPCCRandom(seed=seed)
+            reference = random.Random(seed)
+            for method, alphabet in (("astring", ALPHANUMERIC), ("nstring", "0123456789")):
+                length = reference.randint(lo, hi)
+                want = "".join(reference.choice(alphabet) for __ in range(length))
+                assert getattr(fast, method)(lo, hi) == want, (seed, method)
+            assert fast.rng.random() == reference.random(), seed
