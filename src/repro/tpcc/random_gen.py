@@ -37,9 +37,7 @@ class _Alphabet:
 
     def __init__(self, chars: str) -> None:
         n = len(chars)
-        shift = 8 - n.bit_length()
-        if shift < 0:
-            raise ValueError("alphabet longer than 255 characters")
+        shift = 8 - n.bit_length()  # a try fits in the high byte: n < 256
         self.table = bytes(
             ord(chars[b >> shift]) if b >> shift < n else 0 for b in range(256)
         )
